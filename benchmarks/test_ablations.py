@@ -1,7 +1,7 @@
 """Ablation benchmarks for the design choices behind the prediction scheme.
 
-These are not experiments from the paper; they probe the knobs Algorithm 2
-fixes implicitly, as called out in DESIGN.md:
+These are not experiments from the paper; they probe the knobs that
+Algorithm 2 of the paper fixes without measuring the alternatives:
 
 * clearing the failure-push (CTP) table before every propagation phase
   versus keeping it across phases;

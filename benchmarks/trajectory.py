@@ -1,7 +1,7 @@
 """End-to-end wall-time trajectory of the six-configuration harness.
 
-The committed ``BENCH_*.json`` snapshots so far cover subsystem
-comparisons (SAT backends, portfolio sharing).  This harness extends the
+The other committed ``BENCH_*.json`` snapshots cover subsystem
+comparisons (SAT backends).  This harness extends the
 same committed-snapshot discipline to the *full evaluation*: it runs all
 six paper configurations over a suite exactly as ``repro-check
 evaluate`` does — same runner, same hard-timeout pool — and records per

@@ -30,10 +30,16 @@ def read_aiger(path: Union[str, Path]) -> AIG:
 
 def parse_aiger(data: Union[str, bytes]) -> AIG:
     """Parse AIGER content given as text or bytes."""
-    if isinstance(data, str):
-        data = data.encode("ascii")
-    if data.startswith(b"aag"):
-        return _parse_ascii(data.decode("ascii"))
+    try:
+        if isinstance(data, str):
+            data = data.encode("ascii")
+        text = data.decode("ascii") if data.startswith(b"aag") else None
+    except UnicodeError as exc:
+        raise AigerParseError(
+            f"AIGER text has a non-ASCII character at offset {exc.start}"
+        ) from None
+    if text is not None:
+        return _parse_ascii(text)
     if data.startswith(b"aig"):
         return _parse_binary(data)
     raise AigerParseError("not an AIGER document (missing 'aag'/'aig' magic)")

@@ -35,7 +35,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from typing import List, Optional
 
-from repro.aiger.parser import read_aiger
+from repro.aiger.parser import AigerParseError, read_aiger
 from repro.aiger.writer import write_aag
 from repro.benchgen.suite import (
     bench_suite,
@@ -151,20 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="RNG seed for the SAT kernels' randomized branching "
         "(0 = deterministic unseeded order; the portfolio derives "
         "distinct per-member seeds from it)",
-    )
-    check.add_argument(
-        "--portfolio-share",
-        dest="portfolio_share",
-        action="store_true",
-        default=True,
-        help="portfolio only: exchange proven lemmas between members "
-        "over a shared-memory bus (default: on)",
-    )
-    check.add_argument(
-        "--no-portfolio-share",
-        dest="portfolio_share",
-        action="store_false",
-        help="portfolio only: run members fully independently",
     )
     _add_reduction_arguments(check)
     check.add_argument("--verbose", action="store_true", help="per-frame progress")
@@ -604,8 +590,7 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
             "kind": {"max_k": args.max_k},
         }
         kwargs["portfolio_options"] = PortfolioOptions(
-            share=args.portfolio_share,
-            base_seed=args.seed if args.seed else 1,
+            base_seed=args.seed if args.seed else 1
         )
     return kwargs
 
@@ -621,7 +606,11 @@ def _command_check(args: argparse.Namespace) -> int:
 
 
 def _check_body(args: argparse.Namespace) -> int:
-    aig = read_aiger(args.model)
+    try:
+        aig = read_aiger(args.model)
+    except AigerParseError as error:
+        print(f"error: cannot parse {args.model!r}: {error}")
+        return 2
     options = IC3Options(verbose=1 if args.verbose else 0, seed=args.seed)
     if args.all_properties or args.property is not None:
         return _check_scheduled(args, aig, options)

@@ -19,7 +19,6 @@ from repro.core.result import (
     CounterexampleTrace,
     TraceStep,
 )
-from repro.core.share import UnrollingInvariantImporter
 from repro.core.stats import IC3Stats
 from repro.obs.heartbeat import get_heartbeat
 from repro.obs.tracer import get_tracer
@@ -35,8 +34,6 @@ class BMC:
         property_index: int = 0,
         sat_backend: str = "default",
         seed: int = 0,
-        lemma_port=None,
-        lemma_map=None,
     ):
         self.aig = aig
         self.property_index = property_index
@@ -47,12 +44,6 @@ class BMC:
             aig, init_as_assumption=True, backend=sat_backend, seed=seed
         )
         self.stats = IC3Stats()
-        self.importer = None
-        if lemma_port is not None:
-            self.importer = UnrollingInvariantImporter(
-                lemma_port, aig, self.unroller, self.stats,
-                map_in=lemma_map, sat_backend=sat_backend,
-            )
 
     def check(
         self,
@@ -73,9 +64,6 @@ class BMC:
             hb = get_heartbeat()
             if hb.enabled:
                 hb.update(engine="bmc", bound=depth, sat_calls=self.stats.sat_calls)
-            if self.importer is not None:
-                self.importer.drain()
-                self.importer.flush()
             bad_lit = self.unroller.bad_lit_at(depth, self.property_index)
             self.stats.sat_calls += 1
             sat_start = time.perf_counter()

@@ -85,10 +85,6 @@ class FrameManagerBase:
         self.options = options
         self.stats = stats
         self.frames: List[List[Cube]] = []
-        self.lemma_exporter = None
-        """Optional ``(cube, level)`` callback fired whenever a lemma is
-        newly proven at or promoted to ``level`` — the cooperative
-        portfolio's export hook (see :mod:`repro.core.share`)."""
 
     # ------------------------------------------------------------------
     # Frame construction
@@ -129,8 +125,6 @@ class FrameManagerBase:
         self.frames[level].append(cube)
         self._install_lemma(cube, level)
         self.stats.lemmas_added += 1
-        if self.lemma_exporter is not None:
-            self.lemma_exporter(cube, level)
 
     def promote_cube(self, cube: Cube, from_level: int, to_level: int) -> None:
         """Move a lemma up after a successful propagation push."""
@@ -139,8 +133,6 @@ class FrameManagerBase:
         self.frames[to_level].append(cube)
         self._install_promotion(cube, from_level, to_level)
         self.stats.lemmas_pushed += 1
-        if self.lemma_exporter is not None:
-            self.lemma_exporter(cube, to_level)
 
     def lemmas_exactly_at(self, level: int) -> List[Cube]:
         """Cubes whose lemma lives exactly at ``level`` (F_level \\ F_{level+1})."""

@@ -31,7 +31,6 @@ from repro.core.generalize import make_generalizer
 from repro.core.obligations import Obligation, ObligationQueue
 from repro.core.options import IC3Options
 from repro.core.predict import LemmaPredictor
-from repro.core.share import _DRAIN_OBLIGATION_INTERVAL, FrameLemmaExchange
 from repro.core.result import (
     Certificate,
     CheckOutcome,
@@ -52,6 +51,9 @@ interleave garbage on stdout, and the same information lands in traces
 as instant events.  The CLI installs a handler when ``--verbose`` is
 given; library users configure logging themselves."""
 
+_HEARTBEAT_OBLIGATION_INTERVAL = 16
+"""The blocking loop refreshes the heartbeat every this many obligations."""
+
 
 class IC3:
     """Safety model checker for AIGs / transition systems."""
@@ -62,8 +64,6 @@ class IC3:
         options: Optional[IC3Options] = None,
         property_index: int = 0,
         seed_clauses: Optional[Sequence[Sequence[int]]] = None,
-        lemma_port=None,
-        lemma_maps=None,
     ):
         """``seed_clauses`` are invariant clauses proved for sibling
         properties of the same model, given over *latch indices*: literal
@@ -72,15 +72,6 @@ class IC3:
         certificates validated by :func:`repro.core.invariant.
         check_certificate` satisfy it); clauses are then sound to inject
         into every frame and act as free lemmas.
-
-        ``lemma_port`` is an optional cooperative-portfolio bus port
-        (the ``publish``/``pending``/``drain`` shape of
-        :mod:`repro.engines.lembus`); when given, newly proven frame
-        lemmas are exported and foreign lemmas are imported — after
-        local revalidation — at the engine's check-in points.
-        ``lemma_maps`` is an optional ``(map_in, map_out)`` pair of
-        clause translators between the bus's latch-index space and this
-        engine's (for members that reduced their model further).
         """
         if isinstance(system, TransitionSystem):
             self.ts = system
@@ -92,13 +83,6 @@ class IC3:
 
         self.stats = IC3Stats()
         self.frames = make_frame_manager(self.ts, self.options, self.stats)
-        self.exchange: Optional[FrameLemmaExchange] = None
-        if lemma_port is not None:
-            map_in, map_out = lemma_maps if lemma_maps is not None else (None, None)
-            self.exchange = FrameLemmaExchange(
-                lemma_port, self.ts, self.frames, self.stats,
-                map_in=map_in, map_out=map_out,
-            )
         self._literal_activity: Dict[int, float] = {}
         self.generalizer = make_generalizer(
             self.frames, self.ts, self.options, self.stats, self._literal_activity
@@ -158,7 +142,6 @@ class IC3:
             # Blocking phase: make F_top ⇒ P.
             while True:
                 self._check_limits()
-                self._drain_shared()
                 bad = self.frames.get_bad_state(top)
                 if bad is None:
                     break
@@ -181,7 +164,6 @@ class IC3:
                     self.frames.add_frame()
             else:
                 self.frames.add_frame()
-            self._drain_shared()
             invariant_level = self._propagate()
             if self.options.verbose >= 1:
                 self._log_frame_progress()
@@ -247,8 +229,7 @@ class IC3:
             self.stats.obligations_processed += 1
             if self.stats.obligations_processed > self.options.max_obligations:
                 raise _BudgetSignal("obligation limit reached")
-            if self.stats.obligations_processed % _DRAIN_OBLIGATION_INTERVAL == 0:
-                self._drain_shared()
+            if self.stats.obligations_processed % _HEARTBEAT_OBLIGATION_INTERVAL == 0:
                 hb = get_heartbeat()
                 if hb.enabled:
                     hb.update(
@@ -490,28 +471,19 @@ class IC3:
             result=CheckResult.UNKNOWN, reason=reason, engine=self._engine_name()
         )
 
-    def _drain_shared(self) -> None:
-        """Import pending bus lemmas at a safe check-in point."""
-        if self.exchange is not None:
-            self.exchange.drain()
-
     def _publish_heartbeat(self, top: int) -> None:
         """Refresh live progress once per outer-loop round (cheap: a few
         dict writes behind one ``enabled`` check)."""
         hb = get_heartbeat()
         if not hb.enabled:
             return
-        fields = {
-            "engine": self._engine_name(),
-            "frame": top,
-            "lemmas": sum(self.frames.lemma_counts()),
-            "obligations": self.stats.obligations_processed,
-            "sat_calls": self.stats.sat_calls,
-        }
-        if self.exchange is not None:
-            fields["published"] = self.stats.lemmas_published
-            fields["imported"] = self.stats.lemmas_imported
-        hb.update(**fields)
+        hb.update(
+            engine=self._engine_name(),
+            frame=top,
+            lemmas=sum(self.frames.lemma_counts()),
+            obligations=self.stats.obligations_processed,
+            sat_calls=self.stats.sat_calls,
+        )
 
     def _check_limits(self) -> None:
         if self._deadline is not None and time.perf_counter() > self._deadline:

@@ -22,7 +22,6 @@ from typing import Optional
 
 from repro.aiger.aig import AIG
 from repro.core.result import CheckOutcome, CheckResult, Certificate
-from repro.core.share import UnrollingInvariantImporter
 from repro.core.stats import IC3Stats
 from repro.obs.heartbeat import get_heartbeat
 from repro.obs.tracer import get_tracer
@@ -38,8 +37,6 @@ class KInduction:
         property_index: int = 0,
         sat_backend: str = "default",
         seed: int = 0,
-        lemma_port=None,
-        lemma_map=None,
     ):
         self.aig = aig
         self.property_index = property_index
@@ -47,12 +44,6 @@ class KInduction:
             aig, use_init=True, init_as_assumption=True, backend=sat_backend, seed=seed
         )
         self.stats = IC3Stats()
-        self.importer = None
-        if lemma_port is not None:
-            self.importer = UnrollingInvariantImporter(
-                lemma_port, aig, self.unroller, self.stats,
-                map_in=lemma_map, sat_backend=sat_backend,
-            )
 
     def check(
         self,
@@ -71,9 +62,6 @@ class KInduction:
             hb = get_heartbeat()
             if hb.enabled:
                 hb.update(engine="k-induction", k=k, sat_calls=self.stats.sat_calls)
-            if self.importer is not None:
-                self.importer.drain()
-                self.importer.flush()
 
             # Base case: no counterexample of length < k (frame 0 is
             # anchored at the initial states through the init assumption).
@@ -116,60 +104,9 @@ class KInduction:
                 outcome.frames = k
                 return outcome
 
-        reason = f"property is not k-inductive for k <= {max_k}"
-        if self.importer is None or deadline is None:
-            return self._outcome(CheckResult.UNKNOWN, start, reason)
-        return self._cooperative_wait(max_k, start, deadline, reason)
-
-    def _cooperative_wait(
-        self, max_k: int, start: float, deadline: float, reason: str
-    ) -> CheckOutcome:
-        """Keep listening for foreign invariants after the sweep is exhausted.
-
-        Every base case up to ``max_k`` is already UNSAT, and imported
-        clauses are validated global invariants, so retrying only the step
-        cases on the strengthened unrolling is sound: a property that is
-        not k-inductive on its own often becomes (1-)inductive relative to
-        invariants another portfolio member has proven.  The sleep yields
-        the core to the members still deriving lemmas.
-        """
-        tracer = get_tracer()
-        quiet = 0
-        while time.perf_counter() <= deadline:
-            imported_before = self.stats.lemmas_imported
-            self.importer.drain()
-            if self.stats.lemmas_imported == imported_before:
-                quiet += 1
-                # The importer batches Houdini attempts; once the stream
-                # has been quiet a few polls, force the deferred attempt
-                # so a final burst of donor lemmas is not left unused.
-                if quiet < 4 or self.importer.flush() == 0:
-                    time.sleep(0.005)
-                    continue
-            quiet = 0
-            for k in range(1, max_k + 1):
-                if time.perf_counter() > deadline:
-                    break
-                assumptions = [
-                    -self.unroller.bad_lit_at(frame, self.property_index)
-                    for frame in range(k)
-                ]
-                assumptions.append(self.unroller.bad_lit_at(k, self.property_index))
-                self.stats.sat_calls += 1
-                sat_start = time.perf_counter()
-                if tracer.enabled:
-                    with tracer.span("kind.step", cat="kind", k=k, retry=True) as span:
-                        step_sat = self.unroller.solver.solve(assumptions)
-                        span.add(sat=step_sat)
-                else:
-                    step_sat = self.unroller.solver.solve(assumptions)
-                self.stats.sat_time += time.perf_counter() - sat_start
-                if not step_sat:
-                    outcome = self._outcome(CheckResult.SAFE, start)
-                    outcome.certificate = Certificate(clauses=[], level=k)
-                    outcome.frames = k
-                    return outcome
-        return self._outcome(CheckResult.UNKNOWN, start, reason)
+        return self._outcome(
+            CheckResult.UNKNOWN, start, f"property is not k-inductive for k <= {max_k}"
+        )
 
     def _outcome(self, result: CheckResult, start: float, reason: str = "") -> CheckOutcome:
         solver_stats = self.unroller.solver.stats

@@ -95,8 +95,8 @@ class IC3Options:
     """Deterministic RNG seed for the SAT kernels' randomized branching
     (see :meth:`repro.sat.solver.Solver.set_seed`).  0 disables the
     randomization entirely; any non-zero seed gives a reproducible but
-    diversified decision order — the portfolio uses distinct seeds per
-    member so cooperative lemma sharing has value."""
+    diversified decision order — the portfolio gives each member a
+    distinct seed so that they do not all search alike."""
 
     # ------------------------------------------------------------------
     # Named profiles used by the evaluation harness

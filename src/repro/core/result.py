@@ -154,9 +154,8 @@ class CheckOutcome:
     (see ``ScheduleResult.as_dict``), None for single-property runs."""
 
     sharing: Optional[Dict[str, object]] = None
-    """For cooperative portfolio runs: lemma-bus accounting (transport,
-    total records published, per-member exchange counters), None when the
-    run did not share lemmas."""
+    """Always None: portfolio members no longer exchange lemmas.  Kept
+    because benchmark drivers still read the attribute."""
 
     @property
     def solved(self) -> bool:

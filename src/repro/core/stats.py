@@ -64,20 +64,10 @@ class IC3Stats:
     solver_removed_clauses: int = 0   # clauses lazily deleted (guarded + learnt)
 
     # SAT-kernel search activity (manifest schema v8); aggregated over
-    # every solver the run created.  The portfolio benchmark uses the
-    # conflict total to measure work saved by cooperative lemma sharing.
+    # every solver the run created.
     solver_conflicts: int = 0
     solver_decisions: int = 0
     solver_propagations: int = 0
-
-    # Cooperative portfolio lemma sharing (manifest schema v8).
-    lemmas_published: int = 0         # own lemmas put on the bus
-    lemmas_received: int = 0          # foreign records drained from the bus
-    lemmas_validated: int = 0         # foreign lemmas that passed revalidation
-    lemmas_rejected: int = 0          # foreign lemmas refused (failed validation)
-    lemmas_imported: int = 0          # validated lemmas installed locally
-    bus_overflows: int = 0            # drains that lost records to ring lag
-    time_import_validation: float = 0.0  # seconds spent validating imports
 
     # Generalization activity
     generalizations: int = 0          # N_g
@@ -161,13 +151,6 @@ class IC3Stats:
             "solver_conflicts": self.solver_conflicts,
             "solver_decisions": self.solver_decisions,
             "solver_propagations": self.solver_propagations,
-            "lemmas_published": self.lemmas_published,
-            "lemmas_received": self.lemmas_received,
-            "lemmas_validated": self.lemmas_validated,
-            "lemmas_rejected": self.lemmas_rejected,
-            "lemmas_imported": self.lemmas_imported,
-            "bus_overflows": self.bus_overflows,
-            "time_import_validation": self.time_import_validation,
             "generalizations": self.generalizations,
             "mic_drop_attempts": self.mic_drop_attempts,
             "mic_drop_successes": self.mic_drop_successes,

@@ -93,7 +93,6 @@ class IC3Engine:
         sat_backend: Optional[str] = None,
         shared_lemmas: Optional[Sequence[Sequence[int]]] = None,
         seed: Optional[int] = None,
-        lemma_port=None,
         **_ignored,
     ):
         self.options = options if options is not None else IC3Options()
@@ -113,19 +112,8 @@ class IC3Engine:
         seeds = list(shared_lemmas or [])
         if seeds and self.reduction is not None:
             seeds = self.reduction.recon.map_latch_index_clauses(seeds)
-        # Live bus lemmas travel in the latch-index space of the model
-        # this adapter was handed; when it reduced further, imports follow
-        # the pass chain forward and exports lift back through it.
-        lemma_maps = None
-        if lemma_port is not None and self.reduction is not None:
-            recon = self.reduction.recon
-            lemma_maps = (
-                recon.map_latch_index_clauses,
-                recon.lift_latch_index_clauses,
-            )
         self._engine = IC3(
-            model, self.options, property_index=model_property, seed_clauses=seeds,
-            lemma_port=lemma_port, lemma_maps=lemma_maps,
+            model, self.options, property_index=model_property, seed_clauses=seeds
         )
 
     def check(self, time_limit: Optional[float] = None) -> CheckOutcome:
@@ -152,7 +140,6 @@ class BMCEngine:
         passes: Optional[Sequence[str]] = None,
         sat_backend: Optional[str] = None,
         seed: Optional[int] = None,
-        lemma_port=None,
         **_ignored,
     ):
         self.max_depth = max_depth
@@ -164,12 +151,8 @@ class BMCEngine:
             sat_backend = base_options.sat_backend
         if seed is None:
             seed = base_options.seed
-        lemma_map = None
-        if lemma_port is not None and self.reduction is not None:
-            lemma_map = self.reduction.recon.map_latch_index_clauses
         self._engine = BMC(
-            model, property_index=model_property, sat_backend=sat_backend,
-            seed=seed, lemma_port=lemma_port, lemma_map=lemma_map,
+            model, property_index=model_property, sat_backend=sat_backend, seed=seed
         )
 
     def check(self, time_limit: Optional[float] = None) -> CheckOutcome:
@@ -196,7 +179,6 @@ class KInductionEngine:
         passes: Optional[Sequence[str]] = None,
         sat_backend: Optional[str] = None,
         seed: Optional[int] = None,
-        lemma_port=None,
         **_ignored,
     ):
         self.max_k = max_k
@@ -208,12 +190,8 @@ class KInductionEngine:
             sat_backend = base_options.sat_backend
         if seed is None:
             seed = base_options.seed
-        lemma_map = None
-        if lemma_port is not None and self.reduction is not None:
-            lemma_map = self.reduction.recon.map_latch_index_clauses
         self._engine = KInduction(
-            model, property_index=model_property, sat_backend=sat_backend,
-            seed=seed, lemma_port=lemma_port, lemma_map=lemma_map,
+            model, property_index=model_property, sat_backend=sat_backend, seed=seed
         )
 
     def check(self, time_limit: Optional[float] = None) -> CheckOutcome:

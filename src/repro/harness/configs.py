@@ -5,8 +5,12 @@ two independent IC3 code bases (IC3ref in C++ and RIC3 in Rust), each with
 and without the proposed lemma prediction, plus the CAV'23 "i-Good lemmas"
 variant and ABC's PDR.  Those exact binaries are not available here, so
 every row is a differently-configured instance of this library's IC3
-engine; the ``plays_role_of`` field records the mapping (see DESIGN.md for
-the substitution rationale).
+engine, and the ``plays_role_of`` field records the mapping.  What the
+substitution keeps is the paper's comparison: each tool profile is run
+with and without prediction on one shared engine, so a difference
+between ``X`` and ``X-pl`` comes from prediction alone, not from a
+different code base.  Absolute times and the cross-tool ranking are not
+comparable with the paper's.
 """
 
 from __future__ import annotations

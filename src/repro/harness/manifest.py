@@ -116,6 +116,14 @@ Schema v9 (``repro-check/manifest/v9``) additions over v8:
   ``repro_harness_tasks_total`` / ``repro_stalls_total``, and
   ``sum``/``count`` pairs for the latency histograms).  ``None`` —
   and therefore byte-identical output for identical runs — otherwise.
+
+Schema v10 (``repro-check/manifest/v10``) removals from v9:
+
+* per-result ``sharing`` is gone, and so are the v8 lemma-sharing
+  ``stats`` counters (``lemmas_published`` / ``lemmas_received`` /
+  ``lemmas_validated`` / ``lemmas_rejected`` / ``lemmas_imported`` /
+  ``bus_overflows`` / ``time_import_validation``): portfolio members
+  now race independently and exchange no lemmas.
 """
 
 from __future__ import annotations
@@ -127,7 +135,7 @@ from typing import Dict, Optional, Sequence
 from repro.harness.configs import EngineConfig
 from repro.harness.runner import CaseResult, SuiteResult
 
-MANIFEST_SCHEMA = "repro-check/manifest/v9"
+MANIFEST_SCHEMA = "repro-check/manifest/v10"
 
 
 def _phase_times(results: Sequence[CaseResult]) -> Dict[str, float]:
@@ -228,7 +236,6 @@ def build_manifest(
             "reduction": _reduction_sizes(r),
             "properties": r.properties,
             "transformation": r.transformation,
-            "sharing": r.sharing,
             "error": r.error,
         }
         for r in suite_result.results

@@ -59,10 +59,6 @@ class CaseResult:
     """Liveness-transformation summary (l2s/k-liveness compiler stats),
     None for plain safety runs."""
 
-    sharing: Optional[Dict[str, object]] = None
-    """Cooperative-portfolio lemma-bus accounting (manifest schema v8),
-    None when the run did not share lemmas."""
-
     error: Optional[str] = None
     """Worker failure description (crash or hard kill), None on clean runs."""
 
@@ -232,7 +228,6 @@ def _execute_case(spec: _TaskSpec) -> CaseResult:
         reduction=outcome.reduction,
         properties=outcome.properties,
         transformation=outcome.transformation,
-        sharing=outcome.sharing,
     )
 
 

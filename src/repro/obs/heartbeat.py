@@ -3,10 +3,10 @@
 The tracer (:mod:`repro.obs.tracer`) answers *what happened* after a run;
 this module answers *what is happening right now*: engines publish cheap
 structured progress (IC3 frame count, lemma/obligation totals, BMC
-bound, k-induction ``k``, portfolio member states, lembus sharing
-counters) into a per-process :class:`Heartbeat`, and a background
-publisher thread writes the current snapshot — plus worker RSS/CPU
-sampled from ``/proc`` — to ``hb-<role>-<pid>.json`` in a shared
+bound, k-induction ``k``, the state of each independently racing
+portfolio member) into a per-process :class:`Heartbeat`, and a
+background publisher thread writes the current snapshot — plus worker
+RSS/CPU sampled from ``/proc`` — to ``hb-<role>-<pid>.json`` in a shared
 directory at a fixed interval, via an atomic ``mkstemp`` + ``rename`` so
 readers never see a torn file.
 
@@ -352,13 +352,9 @@ def format_progress(record: Dict[str, Any]) -> str:
     if engine:
         parts.append(str(engine))
     for key in ("case", "config", "job", "frame", "bound", "k", "lemmas",
-                "obligations", "sat_calls", "published", "imported"):
+                "obligations", "sat_calls"):
         value = progress.get(key)
-        if value is None:
-            continue
-        if key in ("case", "config", "job"):
-            parts.append(f"{key}={value}")
-        else:
+        if value is not None:
             parts.append(f"{key}={value}")
     members = progress.get("members")
     if isinstance(members, dict) and members:

@@ -349,30 +349,6 @@ class ReconstructionMap:
                 mapped.append(result)
         return mapped
 
-    def lift_latch_index_clauses(self, clauses) -> List[List[int]]:
-        """Translate invariant clauses from reduced to original latch space.
-
-        The reverse of :meth:`map_latch_index_clauses`, used when a
-        portfolio member that reduced its model further exports lemmas
-        back onto the shared bus.  Every reduced latch has an original
-        counterpart (``latch_origin``), so the translation never drops a
-        clause; signs are preserved.
-        """
-        lifted: List[List[int]] = []
-        for clause in clauses:
-            result: List[int] = []
-            valid = True
-            for lit in clause:
-                index = abs(lit) - 1
-                if not 0 <= index < len(self.latch_origin):
-                    valid = False
-                    break
-                original = self.latch_origin[index] + 1
-                result.append(original if lit > 0 else -original)
-            if valid and result:
-                lifted.append(result)
-        return lifted
-
     def lift_outcome(self, outcome: CheckOutcome) -> CheckOutcome:
         """Lift whatever witness an outcome carries; verdict is unchanged."""
         lifted = copy.copy(outcome)

@@ -1,10 +1,12 @@
 """Tests for AIGER reading and writing (ASCII and binary)."""
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.aiger import (
     AIG,
     AigerError,
+    AigerParseError,
     parse_aiger,
     read_aiger,
     to_aag_string,
@@ -12,7 +14,7 @@ from repro.aiger import (
     write_aig,
 )
 from repro.aiger.writer import to_aig_bytes
-from repro.benchgen import token_ring, fifo_controller
+from repro.benchgen import fifo_controller, parity_counter, token_ring
 
 
 def _example_aig():
@@ -133,3 +135,99 @@ class TestBinaryFormat:
         from_ascii = parse_aiger(to_aag_string(aig))
         from_binary = parse_aiger(to_aig_bytes(aig))
         _equivalent_behaviour(from_ascii, from_binary)
+
+
+def _aiger19_example():
+    aig = _example_aig()
+    aig.add_constraint(aig.inputs[0])
+    aig.add_justice([aig.latches[0].lit, aig.negate(aig.inputs[0])])
+    aig.add_fairness(aig.inputs[0])
+    return aig
+
+
+_FUZZ_SEEDS = [
+    to_aag_string(parity_counter(4, safe=True).aig).encode("ascii"),
+    to_aig_bytes(parity_counter(4, safe=True).aig),
+    to_aag_string(_aiger19_example()).encode("ascii"),
+    to_aig_bytes(_aiger19_example()),
+]
+
+_MUTATION = st.tuples(
+    st.sampled_from(["set", "insert", "delete"]),
+    st.integers(min_value=0, max_value=1 << 16),
+    st.integers(min_value=0, max_value=255),
+)
+
+
+def _mutate(document, mutations):
+    data = bytearray(document)
+    for op, position, value in mutations:
+        index = position % (len(data) + 1)
+        if op == "insert":
+            data.insert(index, value)
+        elif data and op == "set":
+            data[index % len(data)] = value
+        elif data:
+            del data[index % len(data)]
+    return bytes(data)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "data", [b"aag 1 1 0 1 0\n2\n\xe7\n", "aag 1 1 0 1 0\n2\n\u00e7\n"]
+    )
+    def test_non_ascii_text_is_a_parse_error(self, data):
+        with pytest.raises(AigerParseError, match="non-ASCII"):
+            parse_aiger(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"aag 1 1 0 1 0\n\xe7\n2\n",
+            b"aag 1 0 1 1 0\n2 \xe7\n2\n",
+            b"aag 3 1 0 1 1\n2\n6\n6 2 \xe7\n",
+            b"aag 1 1 0 1 0\n2\n2\ni0 r\xe9q\n",
+            b"aag 1 1 0 1 0\n2\n2\nc\ncaf\xe9\n",
+            b"aag 1 1 0 1 0 \xff\n2\n2\n",
+        ],
+        ids=["input", "latch", "and", "symbol", "comment", "header"],
+    )
+    def test_non_ascii_anywhere_in_text_reports_its_offset(self, data):
+        offset = next(i for i, byte in enumerate(data) if byte >= 0x80)
+        with pytest.raises(AigerParseError, match=f"offset {offset}$"):
+            parse_aiger(data)
+
+    def test_unencodable_str_is_a_parse_error(self):
+        # A lone surrogate cannot even be encoded; it must not escape as
+        # UnicodeEncodeError.
+        with pytest.raises(AigerParseError, match="offset 16"):
+            parse_aiger("aag 1 1 0 1 0\n2\n\udce7\n")
+
+    def test_binary_comment_may_hold_any_bytes(self):
+        aig = token_ring(3).aig
+        parsed = parse_aiger(to_aig_bytes(aig) + b"c\ncaf\xe9 \xff\n")
+        _equivalent_behaviour(aig, parsed)
+
+    @seed(20241017)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(
+        document=st.sampled_from(_FUZZ_SEEDS),
+        mutations=st.lists(_MUTATION, min_size=1, max_size=4),
+        as_text=st.booleans(),
+    )
+    def test_mutated_documents_only_raise_parse_errors(
+        self, document, mutations, as_text
+    ):
+        data = _mutate(document, mutations)
+        try:
+            parse_aiger(data.decode("latin-1") if as_text else data)
+        except AigerParseError:
+            pass
+
+    def test_cli_check_reports_parse_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "broken.aag"
+        path.write_bytes(b"aag 1 1 0 1 0\n2\n\xe7\n")
+        assert main(["check", str(path)]) == 2
+        assert "cannot parse" in capsys.readouterr().out

@@ -56,3 +56,26 @@ def test_example_runs_clean(name):
         f"--- stderr ---\n{completed.stderr[-2000:]}"
     )
     assert completed.stdout.strip(), f"{name} produced no output"
+
+
+def _quickstart_check_commands():
+    """The ``check`` command lines of the README quickstart, as argv lists."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    quickstart = readme.split("## Quickstart", 1)[1].split("```bash", 1)[1]
+    prefix = "PYTHONPATH=src python -m repro.cli "
+    return [
+        line[len(prefix):].split()
+        for line in quickstart.split("```", 1)[0].splitlines()
+        if line.startswith(prefix + "check ")
+    ]
+
+
+def test_readme_quickstart_check_commands_run(monkeypatch, capsys):
+    from repro.cli import main
+
+    commands = _quickstart_check_commands()
+    assert len(commands) >= 2
+    monkeypatch.chdir(REPO_ROOT)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert "safe" in capsys.readouterr().out
