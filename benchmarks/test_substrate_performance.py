@@ -77,42 +77,6 @@ class TestEncodingMicrobenchmarks:
         benchmark.pedantic(run, rounds=10, iterations=1)
 
 
-class TestFrameBackendMicrobenchmarks:
-    """Monolithic vs per-frame substrate on the same consecution workload."""
-
-    @staticmethod
-    def _consecution_burst(backend: str) -> int:
-        case = token_ring(8)
-        ts = TransitionSystem(case.aig)
-        manager = FrameManager(
-            ts, IC3Options(frame_backend=backend), IC3Stats()
-        )
-        for _ in range(4):
-            manager.add_frame()
-        held = 0
-        latches = ts.latch_vars
-        for level in (4, 3, 2, 1):
-            for index in range(len(latches) - 1):
-                cube = Cube([latches[index], latches[index + 1]])
-                held += manager.consecution(level, cube).holds
-        return held
-
-    def test_consecution_burst_per_frame(self, benchmark):
-        benchmark.pedantic(
-            lambda: self._consecution_burst("per-frame"), rounds=5, iterations=1
-        )
-
-    def test_consecution_burst_monolithic(self, benchmark):
-        benchmark.pedantic(
-            lambda: self._consecution_burst("monolithic"), rounds=5, iterations=1
-        )
-
-    def test_backends_agree_on_burst(self):
-        assert self._consecution_burst("per-frame") == self._consecution_burst(
-            "monolithic"
-        )
-
-
 class TestBmcMicrobenchmarks:
     def test_bmc_unrolling_depth_10(self, benchmark):
         case = modular_counter(4, modulus=16, bad_value=10)

@@ -45,13 +45,11 @@ from repro.benchgen.suite import (
     quick_suite,
     reduction_suite,
 )
-from repro.core.frames import available_frame_backends
 from repro.sat.context import available_sat_backends
 from repro.core.options import IC3Options
 from repro.core.result import CheckResult
 from repro.engines import available_engines, create_engine
 from repro.harness.configs import (
-    apply_frame_backend,
     apply_sat_backend,
     apply_seed,
     paper_configurations,
@@ -124,12 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-property time budget for scheduled multi-property runs",
-    )
-    check.add_argument(
-        "--frame-backend",
-        choices=available_frame_backends(),
-        default=None,
-        help="IC3 frame-management substrate (default: monolithic)",
     )
     check.add_argument(
         "--sat-backend",
@@ -220,12 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-reduce",
         action="store_true",
         help="solve the original models without reduction preprocessing",
-    )
-    evaluate.add_argument(
-        "--frame-backend",
-        choices=available_frame_backends(),
-        default=None,
-        help="frame-management substrate for every IC3 configuration",
     )
     evaluate.add_argument(
         "--sat-backend",
@@ -517,9 +503,9 @@ def _command_version(args: argparse.Namespace) -> int:
     """Print the version plus every extension registry's contents.
 
     The registries are the supported customization points (engines,
-    frame substrates, SAT kernels, reduction passes); listing them in
-    one place is the quickest way to see what a given checkout or
-    third-party plugin actually provides.
+    SAT kernels, reduction passes); listing them in one place is the
+    quickest way to see what a given checkout or third-party plugin
+    actually provides.
     """
     import repro
     from repro.harness.manifest import MANIFEST_SCHEMA
@@ -527,7 +513,6 @@ def _command_version(args: argparse.Namespace) -> int:
     print(f"repro-check {repro.__version__}")
     print(f"manifest schema:  {MANIFEST_SCHEMA}")
     print(f"engines:          {', '.join(available_engines(include_aliases=True))}")
-    print(f"frame backends:   {', '.join(available_frame_backends())}")
     print(f"sat backends:     {', '.join(available_sat_backends())}")
     print(f"reduction passes: {', '.join(available_passes())}")
     return 0
@@ -569,8 +554,6 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
         "reduce": not args.no_reduce,
         "passes": _parse_passes(args.passes),
     }
-    if getattr(args, "frame_backend", None):
-        kwargs["frame_backend"] = args.frame_backend
     if getattr(args, "sat_backend", None):
         kwargs["sat_backend"] = args.sat_backend
     if args.engine == "bmc":
@@ -653,7 +636,6 @@ def _check_scheduled(args: argparse.Namespace, aig, options) -> int:
             properties=None if args.all_properties else [args.property],
             max_k=args.max_k,
             max_depth=args.max_depth,
-            frame_backend=getattr(args, "frame_backend", None),
             sat_backend=getattr(args, "sat_backend", None),
         )
     except SchedulerError as error:
@@ -725,7 +707,6 @@ def _evaluate_body(args: argparse.Namespace) -> int:
         verbose=args.verbose,
         jobs=args.jobs,
         reduce=not args.no_reduce,
-        frame_backend=args.frame_backend,
         sat_backend=args.sat_backend,
         seed=args.seed,
     )
@@ -733,10 +714,7 @@ def _evaluate_body(args: argparse.Namespace) -> int:
     print(report.to_text())
     if args.output:
         configs = apply_seed(
-            apply_sat_backend(
-                apply_frame_backend(paper_configurations(), args.frame_backend),
-                args.sat_backend,
-            ),
+            apply_sat_backend(paper_configurations(), args.sat_backend),
             args.seed,
         )
         telemetry = None

@@ -4,27 +4,20 @@ The frame sequence is *delta encoded*: ``frames[i]`` stores only the cubes
 whose lemma lives exactly at level ``i``; the logical frame ``F_i`` is the
 conjunction of the lemmas stored at every level ``j >= i``.
 
-Two interchangeable solving substrates implement the SAT queries
-(selected with :attr:`repro.core.options.IC3Options.frame_backend`):
+:class:`FrameManager` answers the SAT queries on **one** persistent
+incremental solver for the whole run.  Frame membership is expressed by
+activation literals: the lemma ``¬c`` at level ``i`` is added once as
+``¬act_i ∨ ¬c`` and a query against the logical frame ``F_i`` simply
+assumes ``{act_i, …, act_top}``.  Temporary per-query clauses live in
+recyclable activation scopes that are truly deleted after the query, so
+no garbage-driven solver rebuilds are needed.
 
-* :class:`MonolithicFrameManager` (the default) keeps **one** persistent
-  incremental solver for the whole run.  Frame membership is expressed by
-  activation literals: the lemma ``¬c`` at level ``i`` is added once as
-  ``¬act_i ∨ ¬c`` and a query against the logical frame ``F_i`` simply
-  assumes ``{act_i, …, act_top}``.  Temporary per-query clauses live in
-  recyclable activation scopes that are truly deleted after the query, so
-  no garbage-driven solver rebuilds are needed.
-* :class:`PerFrameFrameManager` is the classic IC3ref architecture kept as
-  the comparison baseline: one solver per frame, each loaded with the
-  transition relation, lemma clauses copied into every covered frame, and
-  periodic rebuilds to shed accumulated activation garbage.
+The three queries every IC3 variant needs:
 
-The three queries every IC3 variant needs are provided by both:
-
-* :meth:`FrameManagerBase.get_bad_state` — ``SAT?(F_k ∧ Bad)``;
-* :meth:`FrameManagerBase.consecution` — ``SAT?(F_i ∧ ¬c ∧ T ∧ c')`` with
+* :meth:`FrameManager.get_bad_state` — ``SAT?(F_k ∧ Bad)``;
+* :meth:`FrameManager.consecution` — ``SAT?(F_i ∧ ¬c ∧ T ∧ c')`` with
   assumption-core extraction on UNSAT and CTI/CTP extraction on SAT;
-* :meth:`FrameManagerBase.lift_predecessor` — assumption-core shrinking of
+* :meth:`FrameManager.lift_predecessor` — assumption-core shrinking of
   a concrete predecessor state.
 """
 
@@ -37,8 +30,7 @@ from typing import Dict, List, Optional
 from repro.core.options import IC3Options
 from repro.core.stats import IC3Stats
 from repro.logic.cube import Clause, Cube
-from repro.sat.context import SatContext, apply_solver_seed, sat_backend
-from repro.sat.solver import Solver
+from repro.sat.context import SatContext
 from repro.ts.system import TransitionSystem
 
 
@@ -72,19 +64,72 @@ class BadState:
     input_values: Dict[int, bool] = field(default_factory=dict)
 
 
-class FrameManagerBase:
-    """Shared lemma bookkeeping of both frame-management substrates.
 
-    Subclasses implement the solver side through four hooks:
-    ``_open_frame``, ``_install_lemma``, ``_install_promotion`` and
-    ``_note_subsumed`` plus the three SAT queries.
+class FrameManager:
+    """Frame management on a single persistent incremental solver.
+
+    One :class:`~repro.sat.context.SatContext` holds the transition
+    relation for the whole run.  Every frame ``i >= 1`` owns a persistent
+    activation literal ``act_i``; the lemma ``¬c`` at level ``i`` becomes
+    the single clause ``¬act_i ∨ ¬c`` and a query against the logical
+    frame ``F_i`` assumes ``{act_i, …, act_top}``.  Frame 0 is exactly
+    the initial states and never receives lemmas, so its queries run in a
+    small dedicated context with the initial cube asserted as persistent
+    unit clauses.  Per-query clauses — the ``¬c`` of a consecution
+    fallback, the ``¬t'`` of a lift — live in recyclable scopes that are
+    deleted right after the query, so the solver never accumulates
+    garbage from temporary clauses and no rebuild heuristic is needed.
     """
 
     def __init__(self, ts: TransitionSystem, options: IC3Options, stats: IC3Stats):
         self.ts = ts
         self.options = options
         self.stats = stats
-        self.frames: List[List[Cube]] = []
+        self.frames: List[List[Cube]] = [[]]
+        self._ctx = self._new_trans_context()
+        # ``_acts[0]`` is a placeholder keeping ``_acts[level]`` aligned
+        # with frame levels: frame 0 lives in ``_init_ctx`` below.
+        self._acts: List[int] = [0]
+
+        # Frame 0 is exactly the initial states and never receives
+        # lemmas, so it lives in its own small context with the initial
+        # cube as hard unit clauses: their unit-propagation closure then
+        # persists at level 0 across every frame-0 query instead of being
+        # replayed through an assumption each time.
+        self._init_ctx = self._new_trans_context()
+        for lit in ts.init_cube:
+            self._init_ctx.add_clause([lit])
+
+        # Predecessor lifting runs against the bare transition relation
+        # (no frame lemmas), so it gets its own small context: routing it
+        # through the main solver would flush the reusable assumption
+        # trail between consecutive consecution queries.
+        self._lift_ctx = self._new_trans_context()
+
+        # One live clause per lemma: ``_lemma_handles`` maps a cube's
+        # literal set to ``(coverage level, solver clause handle)``.  The
+        # frame implication chain ``act_L -> act_{L+1}`` added per frame
+        # makes a lemma's lower-coverage copy implied by a higher one, so
+        # promotion and subsumption can physically *remove* clauses while
+        # every learnt clause stays sound.  ``_lemma_copies`` counts how
+        # many frames-list entries share the literal set (CTG blocking
+        # can re-add a cube below an existing higher-level copy): the
+        # physical clause is only deleted when the last copy dies.
+        self._lemma_handles: Dict[frozenset, tuple] = {}
+        self._lemma_copies: Dict[frozenset, int] = {}
+
+        # Deferred promotion moves: when a lemma moves from level f to
+        # level t its old clause (guarded by act_f) stays live, so the new
+        # act_t copy is only *required* by queries at levels f < L <= t.
+        # Batching the moves keeps the reusable assumption trail intact
+        # across a whole propagation sweep.
+        self._pending_moves: List[tuple] = []  # (from_level, to_level, cube)
+        self._pending_removals: List[frozenset] = []
+
+    @property
+    def context(self) -> SatContext:
+        """The solving context backing every query of this run."""
+        return self._ctx
 
     # ------------------------------------------------------------------
     # Frame construction
@@ -96,14 +141,20 @@ class FrameManagerBase:
 
     def add_frame(self) -> int:
         """Open a new top frame F_{k+1} = ⊤ and return its index."""
-        self._push_new_frame()
-        self.stats.frames_opened += 1
-        return self.top_level
-
-    def _push_new_frame(self) -> None:
         level = len(self.frames)
         self.frames.append([])
-        self._open_frame(level)
+        act = self._ctx.new_scope()
+        self._acts.append(act)
+        if level >= 2:
+            # Frame implication chain: a query at level <= L-1 always
+            # assumes act_L too, so act_{L-1} -> act_L encodes the
+            # assumption discipline as a clause.  It never changes a
+            # query's answer, but it makes a lemma's pre-promotion copy
+            # implied by its promoted copy — which is what allows real
+            # clause deletion below.
+            self._ctx.add_clause([-self._acts[level - 1], act])
+        self.stats.frames_opened += 1
+        return level
 
     # ------------------------------------------------------------------
     # Lemma bookkeeping
@@ -118,7 +169,7 @@ class FrameManagerBase:
             for existing in self.frames[frame_level]:
                 if cube.literal_set <= existing.literal_set:
                     self.stats.subsumed_lemmas += 1
-                    self._note_subsumed(existing, frame_level)
+                    self._note_subsumed(existing)
                     continue
                 kept.append(existing)
             self.frames[frame_level] = kept
@@ -131,7 +182,9 @@ class FrameManagerBase:
         if cube in self.frames[from_level]:
             self.frames[from_level].remove(cube)
         self.frames[to_level].append(cube)
-        self._install_promotion(cube, from_level, to_level)
+        # The solver side moves once a query needs it (``_flush_pending``).
+        self._pending_moves.append((from_level, to_level, cube))
+        self.stats.solver_clauses_shared += max(to_level - from_level - 1, 0)
         self.stats.lemmas_pushed += 1
 
     def lemmas_exactly_at(self, level: int) -> List[Cube]:
@@ -174,143 +227,15 @@ class FrameManagerBase:
         """Number of lemmas across all frames."""
         return sum(len(frame) for frame in self.frames)
 
-    def finalize_stats(self) -> None:
-        """Copy substrate-level counters into the run's :class:`IC3Stats`."""
-
-    def _absorb_kernel_stats(self, solver_stats) -> None:
-        """Fold one solver's memory-system counters (manifest v5) in."""
-        self.stats.solver_conflicts += solver_stats.conflicts
-        self.stats.solver_decisions += solver_stats.decisions
-        self.stats.solver_propagations += solver_stats.propagations
-        self.stats.watch_traversals += solver_stats.watch_traversals
-        self.stats.blocker_hits += solver_stats.blocker_hits
-        self.stats.literal_pool_bytes += solver_stats.literal_pool_bytes
-        self.stats.arena_compactions += solver_stats.arena_compactions
-        self.stats.solver_removed_clauses += (
-            solver_stats.removed_clauses
-            + solver_stats.guarded_clauses_freed
-            + solver_stats.learnts_purged
-        )
-
     # ------------------------------------------------------------------
-    # Substrate hooks
+    # Solver side of the lemma bookkeeping
     # ------------------------------------------------------------------
-    def _open_frame(self, level: int) -> None:
-        raise NotImplementedError
-
-    def _install_lemma(self, cube: Cube, level: int) -> None:
-        raise NotImplementedError
-
-    def _install_promotion(self, cube: Cube, from_level: int, to_level: int) -> None:
-        raise NotImplementedError
-
-    def _note_subsumed(self, cube: Cube, frame_level: int) -> None:
-        raise NotImplementedError
-
-    # -- SAT queries ----------------------------------------------------
-    def get_bad_state(self, level: int) -> Optional[BadState]:
-        raise NotImplementedError
-
-    def consecution(
-        self, level: int, cube: Cube, extract_model: bool = True
-    ) -> ConsecutionResult:
-        raise NotImplementedError
-
-    def lift_predecessor(
-        self, predecessor: Cube, inputs: Cube, successor: Cube
-    ) -> Cube:
-        raise NotImplementedError
-
-
-class MonolithicFrameManager(FrameManagerBase):
-    """Frame management on a single persistent incremental solver.
-
-    One :class:`~repro.sat.context.SatContext` holds the transition
-    relation for the whole run.  Every frame ``i >= 1`` owns a persistent
-    activation literal ``act_i``; the lemma ``¬c`` at level ``i`` becomes
-    the single clause ``¬act_i ∨ ¬c`` and a query against the logical
-    frame ``F_i`` assumes ``{act_i, …, act_top}``.  Frame 0 is exactly
-    the initial states and never receives lemmas, so its queries run in a
-    small dedicated context with the initial cube asserted as persistent
-    unit clauses.  Per-query clauses — the ``¬c`` of a consecution
-    fallback, the ``¬t'`` of a lift — live in recyclable scopes that are
-    deleted right after the query, so the solver never accumulates
-    garbage from temporary clauses and no rebuild heuristic is needed.
-    """
-
-    def __init__(self, ts: TransitionSystem, options: IC3Options, stats: IC3Stats):
-        super().__init__(ts, options, stats)
-        self._ctx = self._new_trans_context()
-        self._acts: List[int] = []
-
-        # Frame 0 is exactly the initial states and never receives
-        # lemmas, so it lives in its own small context with the initial
-        # cube as hard unit clauses: their unit-propagation closure then
-        # persists at level 0 across every frame-0 query instead of being
-        # replayed through an assumption each time.
-        self._init_ctx = self._new_trans_context()
-        for lit in ts.init_cube:
-            self._init_ctx.add_clause([lit])
-
-        self._push_new_frame()
-
-        # Predecessor lifting runs against the bare transition relation
-        # (no frame lemmas), so it gets its own small context: routing it
-        # through the main solver would flush the reusable assumption
-        # trail between consecutive consecution queries.
-        self._lift_ctx = self._new_trans_context()
-
-        # One live clause per lemma: ``_lemma_handles`` maps a cube's
-        # literal set to ``(coverage level, solver clause handle)``.  The
-        # frame implication chain ``act_L -> act_{L+1}`` added per frame
-        # makes a lemma's lower-coverage copy implied by a higher one, so
-        # promotion and subsumption can physically *remove* clauses while
-        # every learnt clause stays sound.  ``_lemma_copies`` counts how
-        # many frames-list entries share the literal set (CTG blocking
-        # can re-add a cube below an existing higher-level copy): the
-        # physical clause is only deleted when the last copy dies.
-        self._lemma_handles: Dict[frozenset, tuple] = {}
-        self._lemma_copies: Dict[frozenset, int] = {}
-
-        # Deferred promotion moves: when a lemma moves from level f to
-        # level t its old clause (guarded by act_f) stays live, so the new
-        # act_t copy is only *required* by queries at levels f < L <= t.
-        # Batching the moves keeps the reusable assumption trail intact
-        # across a whole propagation sweep.
-        self._pending_moves: List[tuple] = []  # (from_level, to_level, cube)
-        self._pending_removals: List[frozenset] = []
-
-    @property
-    def context(self) -> SatContext:
-        """The solving context backing every query of this run."""
-        return self._ctx
-
     def _new_trans_context(self) -> SatContext:
         """A fresh context of the configured backend loaded with T."""
         ctx = SatContext(backend=self.options.sat_backend, seed=self.options.seed)
         ctx.solver.ensure_var(self.ts.num_vars)
         ctx.load(clause.literals for clause in self.ts.trans)
         return ctx
-
-    # ------------------------------------------------------------------
-    # Substrate hooks
-    # ------------------------------------------------------------------
-    def _open_frame(self, level: int) -> None:
-        # Frame 0 lives in ``_init_ctx``; its slot in the act list is a
-        # placeholder so that ``_acts[level]`` lines up with frame levels.
-        if level == 0:
-            self._acts.append(0)
-            return
-        act = self._ctx.new_scope()
-        self._acts.append(act)
-        if level >= 2:
-            # Frame implication chain: a query at level <= L-1 always
-            # assumes act_L too, so act_{L-1} -> act_L encodes the
-            # assumption discipline as a clause.  It never changes a
-            # query's answer, but it makes a lemma's pre-promotion copy
-            # implied by its promoted copy — which is what allows real
-            # clause deletion below.
-            self._ctx.add_clause([-self._acts[level - 1], act])
 
     def _process_removals(self) -> None:
         """Physically delete the clauses of fully-subsumed lemmas."""
@@ -356,10 +281,6 @@ class MonolithicFrameManager(FrameManagerBase):
         # contiguous assumption range instead of getting their own copy.
         self.stats.solver_clauses_shared += max(level - 1, 0)
 
-    def _install_promotion(self, cube: Cube, from_level: int, to_level: int) -> None:
-        self._pending_moves.append((from_level, to_level, cube))
-        self.stats.solver_clauses_shared += max(to_level - from_level - 1, 0)
-
     def _flush_pending(self, level: int) -> None:
         """Apply deferred promotion moves once a query needs one of them.
 
@@ -387,7 +308,7 @@ class MonolithicFrameManager(FrameManagerBase):
             self._lemma_handles[key] = (to_level, new_handle)
         self._pending_moves.clear()
 
-    def _note_subsumed(self, cube: Cube, frame_level: int) -> None:
+    def _note_subsumed(self, cube: Cube) -> None:
         # Queue the subsumed lemma's clause for physical removal once no
         # frames-list entry shares its literal set anymore; it is implied
         # by the subsuming lemma (a sub-clause at a level at least as
@@ -539,10 +460,21 @@ class MonolithicFrameManager(FrameManagerBase):
 
     # ------------------------------------------------------------------
     def finalize_stats(self) -> None:
-        """Mirror the solvers' activation accounting into the run stats."""
+        """Mirror the solvers' kernel and activation counters into the run stats."""
         for ctx in (self._ctx, self._lift_ctx, self._init_ctx):
             solver_stats = ctx.solver.stats
-            self._absorb_kernel_stats(solver_stats)
+            self.stats.solver_conflicts += solver_stats.conflicts
+            self.stats.solver_decisions += solver_stats.decisions
+            self.stats.solver_propagations += solver_stats.propagations
+            self.stats.watch_traversals += solver_stats.watch_traversals
+            self.stats.blocker_hits += solver_stats.blocker_hits
+            self.stats.literal_pool_bytes += solver_stats.literal_pool_bytes
+            self.stats.arena_compactions += solver_stats.arena_compactions
+            self.stats.solver_removed_clauses += (
+                solver_stats.removed_clauses
+                + solver_stats.guarded_clauses_freed
+                + solver_stats.learnts_purged
+            )
             self.stats.activation_vars_allocated += (
                 solver_stats.activation_vars_allocated
             )
@@ -555,217 +487,3 @@ class MonolithicFrameManager(FrameManagerBase):
         self.stats.assumption_levels_reused = (
             self._ctx.solver.stats.assumption_levels_reused
         )
-
-
-class PerFrameFrameManager(FrameManagerBase):
-    """The classic per-frame solver architecture (comparison baseline).
-
-    Each frame has its own incremental SAT solver loaded with the
-    transition relation and the frame's lemmas (the IC3ref architecture);
-    lemma clauses are copied into every covered frame, temporary clauses
-    use activation literals that are tombstoned with a unit clause, and
-    the solvers are rebuilt periodically to shed accumulated garbage.
-    """
-
-    def __init__(self, ts: TransitionSystem, options: IC3Options, stats: IC3Stats):
-        super().__init__(ts, options, stats)
-        self._solvers: List[Solver] = []
-        self._garbage: List[int] = []
-
-        # Frame 0 holds the initial states.
-        self._push_new_frame()
-
-        self._lift_solver = self._fresh_trans_solver()
-        self._lift_garbage = 0
-
-    # ------------------------------------------------------------------
-    # Substrate hooks
-    # ------------------------------------------------------------------
-    def _open_frame(self, level: int) -> None:
-        solver = self._fresh_trans_solver()
-        if level == 0:
-            for lit in self.ts.init_cube:
-                solver.add_clause([lit])
-        # At creation time no lemma lives above the new frame, so there
-        # is nothing else to add.
-        self._solvers.append(solver)
-        self._garbage.append(0)
-
-    def _install_lemma(self, cube: Cube, level: int) -> None:
-        clause = cube.negate().literals
-        for frame_level in range(1, level + 1):
-            self._solvers[frame_level].add_clause(clause)
-        self.stats.lemma_clauses_added += level
-        self.stats.solver_clauses_duplicated += max(level - 1, 0)
-
-    def _install_promotion(self, cube: Cube, from_level: int, to_level: int) -> None:
-        clause = cube.negate().literals
-        for frame_level in range(from_level + 1, to_level + 1):
-            self._solvers[frame_level].add_clause(clause)
-        copies = to_level - from_level
-        self.stats.lemma_clauses_added += copies
-        self.stats.solver_clauses_duplicated += max(copies - 1, 0)
-
-    def _note_subsumed(self, cube: Cube, frame_level: int) -> None:
-        # The dropped lemma's clauses stay live in the solvers of every
-        # frame it covered; count them toward the rebuild heuristic so
-        # subsumption-heavy runs shed them (satellite of ISSUE 4).
-        for level in range(1, frame_level + 1):
-            self._garbage[level] += 1
-            self.stats.solver_garbage_lemmas += 1
-
-    # ------------------------------------------------------------------
-    # Solver lifecycle
-    # ------------------------------------------------------------------
-    def _fresh_trans_solver(self) -> Solver:
-        solver = sat_backend(self.options.sat_backend)()
-        apply_solver_seed(solver, self.options.seed)
-        solver.ensure_var(self.ts.num_vars)
-        for clause in self.ts.trans:
-            solver.add_clause(clause.literals)
-        return solver
-
-    def _rebuild_solver(self, level: int) -> None:
-        solver = self._fresh_trans_solver()
-        if level == 0:
-            for lit in self.ts.init_cube:
-                solver.add_clause([lit])
-        for frame_level in range(max(level, 1), len(self.frames)):
-            for cube in self.frames[frame_level]:
-                solver.add_clause(cube.negate().literals)
-        self._solvers[level] = solver
-        self._garbage[level] = 0
-        self.stats.solver_rebuilds += 1
-
-    def _note_garbage(self, level: int) -> None:
-        self._garbage[level] += 1
-        if self._garbage[level] >= self.options.solver_rebuild_interval:
-            self._rebuild_solver(level)
-
-    # ------------------------------------------------------------------
-    def finalize_stats(self) -> None:
-        """Mirror per-solver kernel counters into the run stats.
-
-        Rebuilt solvers take their counters with them, so the totals
-        cover the solvers alive at the end of the run — the same point
-        at which the monolithic substrate snapshots its contexts.
-        """
-        for solver in list(self._solvers) + [self._lift_solver]:
-            self._absorb_kernel_stats(solver.stats)
-
-    # ------------------------------------------------------------------
-    # SAT queries
-    # ------------------------------------------------------------------
-    def get_bad_state(self, level: int) -> Optional[BadState]:
-        """Return a state of F_level that can reach Bad combinationally."""
-        solver = self._solvers[level]
-        start = time.perf_counter()
-        satisfiable = solver.solve([self.ts.bad_lit])
-        self.stats.sat_time += time.perf_counter() - start
-        self.stats.sat_calls += 1
-        if not satisfiable:
-            return None
-        model = solver.get_model()
-        self.stats.bad_cubes += 1
-        return BadState(
-            state=self.ts.state_cube_from_model(model),
-            inputs=self.ts.input_cube_from_model(model),
-            input_values=self.ts.input_assignment_from_model(model),
-        )
-
-    def consecution(
-        self, level: int, cube: Cube, extract_model: bool = True
-    ) -> ConsecutionResult:
-        """Check whether ``¬cube`` is inductive relative to ``F_level``."""
-        solver = self._solvers[level]
-        activation = solver.new_var()
-        solver.add_clause([-activation] + [-lit for lit in cube])
-        assumptions = [activation] + [self.ts.prime_lit(lit) for lit in cube]
-
-        start = time.perf_counter()
-        satisfiable = solver.solve(assumptions)
-        self.stats.sat_time += time.perf_counter() - start
-        self.stats.sat_calls += 1
-        self.stats.consecution_calls += 1
-
-        if satisfiable:
-            result = ConsecutionResult(holds=False)
-            if extract_model:
-                model = solver.get_model()
-                result.predecessor = self.ts.state_cube_from_model(model)
-                result.inputs = self.ts.input_cube_from_model(model)
-                result.successor = self.ts.state_cube_from_model(model, primed=True)
-                result.input_values = self.ts.input_assignment_from_model(model)
-        else:
-            core = set(solver.unsat_core())
-            reduced = [lit for lit in cube if self.ts.prime_lit(lit) in core]
-            result = ConsecutionResult(holds=True, core_cube=Cube(reduced))
-
-        solver.add_clause([-activation])
-        self._note_garbage(level)
-        return result
-
-    def lift_predecessor(
-        self, predecessor: Cube, inputs: Cube, successor: Cube
-    ) -> Cube:
-        """Shrink a concrete predecessor with an assumption core."""
-        solver = self._lift_solver
-        activation = solver.new_var()
-        solver.add_clause(
-            [-activation] + [-self.ts.prime_lit(lit) for lit in successor]
-        )
-        assumptions = [activation] + list(predecessor) + list(inputs)
-
-        start = time.perf_counter()
-        satisfiable = solver.solve(assumptions)
-        self.stats.sat_time += time.perf_counter() - start
-        self.stats.sat_calls += 1
-        self.stats.lifting_calls += 1
-
-        if satisfiable:
-            # Should not happen; fall back to the unshrunk predecessor.
-            lifted = predecessor
-        else:
-            core = set(solver.unsat_core())
-            kept = [lit for lit in predecessor if lit in core]
-            lifted = Cube(kept) if kept else predecessor
-
-        solver.add_clause([-activation])
-        self._lift_garbage += 1
-        if self._lift_garbage >= self.options.solver_rebuild_interval:
-            self._lift_solver = self._fresh_trans_solver()
-            self._lift_garbage = 0
-            self.stats.solver_rebuilds += 1
-        return lifted
-
-
-_FRAME_BACKENDS = {
-    "monolithic": MonolithicFrameManager,
-    "per-frame": PerFrameFrameManager,
-}
-
-
-def available_frame_backends() -> List[str]:
-    """Names of the frame-management substrates."""
-    return sorted(_FRAME_BACKENDS)
-
-
-def make_frame_manager(
-    ts: TransitionSystem, options: IC3Options, stats: IC3Stats
-) -> FrameManagerBase:
-    """Instantiate the frame manager selected by ``options.frame_backend``."""
-    try:
-        backend = _FRAME_BACKENDS[options.frame_backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown frame backend {options.frame_backend!r} "
-            f"(available: {', '.join(available_frame_backends())})"
-        ) from None
-    return backend(ts, options, stats)
-
-
-def FrameManager(
-    ts: TransitionSystem, options: IC3Options, stats: IC3Stats
-) -> FrameManagerBase:
-    """Backward-compatible constructor: dispatches on ``options.frame_backend``."""
-    return make_frame_manager(ts, options, stats)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.frames import FrameManagerBase
+from repro.core.frames import FrameManager
 from repro.core.options import GeneralizationStrategy, IC3Options, LiteralOrdering
 from repro.core.stats import IC3Stats
 from repro.logic.cube import Cube
@@ -33,7 +33,7 @@ class Generalizer:
 
     def __init__(
         self,
-        frames: FrameManagerBase,
+        frames: FrameManager,
         ts: TransitionSystem,
         options: IC3Options,
         stats: IC3Stats,
@@ -170,7 +170,7 @@ class ParentOrderedGeneralizer(Generalizer):
 
 
 def make_generalizer(
-    frames: FrameManagerBase,
+    frames: FrameManager,
     ts: TransitionSystem,
     options: IC3Options,
     stats: IC3Stats,

@@ -26,7 +26,7 @@ import time
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.aiger.aig import AIG
-from repro.core.frames import BadState, make_frame_manager
+from repro.core.frames import BadState, FrameManager
 from repro.core.generalize import make_generalizer
 from repro.core.obligations import Obligation, ObligationQueue
 from repro.core.options import IC3Options
@@ -82,7 +82,7 @@ class IC3:
         self.options.validate()
 
         self.stats = IC3Stats()
-        self.frames = make_frame_manager(self.ts, self.options, self.stats)
+        self.frames = FrameManager(self.ts, self.options, self.stats)
         self._literal_activity: Dict[int, float] = {}
         self.generalizer = make_generalizer(
             self.frames, self.ts, self.options, self.stats, self._literal_activity

@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
+from repro.sat.context import available_sat_backends
+
+
 class GeneralizationStrategy(str, Enum):
     """Which inductive-generalization algorithm the engine uses."""
 
@@ -72,18 +75,9 @@ class IC3Options:
     max_obligations: int = 1_000_000
     """Give up (UNKNOWN) after this many proof obligations."""
 
-    frame_backend: str = "monolithic"
-    """Frame-management substrate: ``"monolithic"`` keeps one incremental
-    solver with activation-literal frame selection; ``"per-frame"`` is the
-    classic one-solver-per-frame baseline."""
-
     sat_backend: str = "default"
-    """Registered SAT backend name used by the monolithic substrate
-    (see :func:`repro.sat.context.register_sat_backend`)."""
-
-    solver_rebuild_interval: int = 400
-    """Per-frame backend only: rebuild a frame solver after this many
-    garbage clauses (temporary activation tombstones + subsumed lemmas)."""
+    """Registered SAT backend name behind every solving context of the
+    run (see :func:`repro.sat.context.register_sat_backend`)."""
 
     check_predicted_lemmas: bool = False
     """Assert the Section 3.2 invariants (t ⊭ c3, b ⊨ c3, c2 ⊆ c3) on every prediction."""
@@ -151,18 +145,11 @@ class IC3Options:
             raise ValueError("CTG parameters must be non-negative")
         if self.max_frames < 1:
             raise ValueError("max_frames must be at least 1")
-        if self.solver_rebuild_interval < 1:
-            raise ValueError("solver_rebuild_interval must be at least 1")
-        # Imported lazily: frames imports this module at load time.
-        from repro.core.frames import available_frame_backends
-
-        if self.frame_backend not in available_frame_backends():
+        if self.sat_backend not in available_sat_backends():
             raise ValueError(
-                f"frame_backend must be one of "
-                f"{', '.join(available_frame_backends())}, "
-                f"got {self.frame_backend!r}"
+                f"sat_backend must be one of "
+                f"{', '.join(available_sat_backends())}, "
+                f"got {self.sat_backend!r}"
             )
-        if not self.sat_backend:
-            raise ValueError("sat_backend must be a registered backend name")
         if self.seed < 0:
             raise ValueError("seed must be non-negative (0 disables randomization)")

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.frames import FrameManagerBase
+from repro.core.frames import FrameManager
 from repro.core.options import IC3Options
 from repro.core.stats import IC3Stats
 from repro.logic.cube import Cube, diff
@@ -83,7 +83,7 @@ class CtpTable:
 class LemmaPredictor:
     """Implements the prediction part of Algorithm 2 (lines 10-27)."""
 
-    def __init__(self, frames: FrameManagerBase, options: IC3Options, stats: IC3Stats):
+    def __init__(self, frames: FrameManager, options: IC3Options, stats: IC3Stats):
         self.frames = frames
         self.options = options
         self.stats = stats

@@ -43,9 +43,6 @@ class IC3Stats:
     lemma_clauses_added: int = 0      # physical lemma clause insertions
     lemma_clauses_removed: int = 0    # promoted/subsumed copies deleted
     solver_clauses_shared: int = 0    # placements served by an existing clause
-    solver_clauses_duplicated: int = 0  # per-frame copies beyond the first
-    solver_garbage_lemmas: int = 0    # dead lemma clauses left in solvers
-    solver_rebuilds: int = 0          # from-scratch solver reconstructions
     activation_vars_allocated: int = 0
     activation_vars_recycled: int = 0
     activation_vars_retired: int = 0
@@ -134,9 +131,6 @@ class IC3Stats:
             "lemma_clauses_added": self.lemma_clauses_added,
             "lemma_clauses_removed": self.lemma_clauses_removed,
             "solver_clauses_shared": self.solver_clauses_shared,
-            "solver_clauses_duplicated": self.solver_clauses_duplicated,
-            "solver_garbage_lemmas": self.solver_garbage_lemmas,
-            "solver_rebuilds": self.solver_rebuilds,
             "activation_vars_allocated": self.activation_vars_allocated,
             "activation_vars_recycled": self.activation_vars_recycled,
             "activation_vars_retired": self.activation_vars_retired,

@@ -89,15 +89,12 @@ class IC3Engine:
         name: Optional[str] = None,
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
-        frame_backend: Optional[str] = None,
         sat_backend: Optional[str] = None,
         shared_lemmas: Optional[Sequence[Sequence[int]]] = None,
         seed: Optional[int] = None,
         **_ignored,
     ):
         self.options = options if options is not None else IC3Options()
-        if frame_backend is not None:
-            self.options = replace(self.options, frame_backend=frame_backend)
         if sat_backend is not None:
             self.options = replace(self.options, sat_backend=sat_backend)
         if seed is not None:

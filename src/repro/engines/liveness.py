@@ -41,13 +41,10 @@ def _inner_kwargs(
     inner: str,
     reduce: bool,
     passes: Optional[Sequence[str]],
-    frame_backend: Optional[str],
     sat_backend: Optional[str],
     max_depth: int,
 ) -> dict:
     kwargs: dict = {"reduce": reduce, "passes": passes}
-    if frame_backend is not None:
-        kwargs["frame_backend"] = frame_backend
     if sat_backend is not None:
         kwargs["sat_backend"] = sat_backend
     if inner == "bmc":
@@ -67,7 +64,6 @@ class L2SEngine:
         inner: str = "ic3-pl",
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
-        frame_backend: Optional[str] = None,
         sat_backend: Optional[str] = None,
         max_depth: int = 50,
         name: Optional[str] = None,
@@ -82,7 +78,7 @@ class L2SEngine:
             self.l2s.aig,
             options=options,
             property_index=0,
-            **_inner_kwargs(inner, reduce, passes, frame_backend, sat_backend, max_depth),
+            **_inner_kwargs(inner, reduce, passes, sat_backend, max_depth),
         )
 
     def check(self, time_limit: Optional[float] = None) -> CheckOutcome:
@@ -110,7 +106,6 @@ class KLivenessEngine:
         inner: str = "ic3-pl",
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
-        frame_backend: Optional[str] = None,
         sat_backend: Optional[str] = None,
         name: Optional[str] = None,
         **_ignored,
@@ -121,7 +116,6 @@ class KLivenessEngine:
         self.options = options
         self.reduce = reduce
         self.passes = passes
-        self.frame_backend = frame_backend
         self.sat_backend = sat_backend
         self.compiled = kliveness(aig, index, max_k=max_k)
 
@@ -158,7 +152,6 @@ class KLivenessEngine:
                     self.inner,
                     self.reduce,
                     self.passes,
-                    self.frame_backend,
                     self.sat_backend,
                     max_depth=50,
                 ),

@@ -89,10 +89,9 @@ _IC3_JITTER: Tuple[Dict[str, object], ...] = (
 
 _IC3_KWARG_JITTER: Tuple[Dict[str, object], ...] = (
     {"sat_backend": "arena"},
-    {"frame_backend": "per-frame"},
     {},
 )
-"""Substrate overrides cycled across duplicated IC3-kind members
+"""SAT-kernel overrides cycled across duplicated IC3-kind members
 (explicit portfolio-level or per-member settings still win)."""
 
 
@@ -146,7 +145,6 @@ class PortfolioEngine:
         grace: float = 0.5,
         reduce: bool = True,
         passes: Optional[Sequence[str]] = None,
-        frame_backend: Optional[str] = None,
         sat_backend: Optional[str] = None,
         portfolio_options: Optional[PortfolioOptions] = None,
         **_ignored,
@@ -161,11 +159,9 @@ class PortfolioEngine:
         )
         self.jobs = jobs if jobs and jobs > 0 else len(self.engines)
         self.member_kwargs = dict(member_kwargs or {})
-        # Substrate selection applies to every member that honours it
+        # SAT-kernel selection applies to every member that honours it
         # (the IC3 adapters); per-member kwargs still win on conflict.
         self._common_kwargs: Dict[str, object] = {}
-        if frame_backend is not None:
-            self._common_kwargs["frame_backend"] = frame_backend
         if sat_backend is not None:
             self._common_kwargs["sat_backend"] = sat_backend
         self.grace = grace
@@ -182,7 +178,7 @@ class PortfolioEngine:
         """Resolve labels, diversification jitter and seeds for every member.
 
         Duplicated engine kinds get ``name#k`` labels plus cycled option
-        and substrate jitter; every member gets a distinct SAT-kernel
+        and SAT-kernel jitter; every member gets a distinct SAT-kernel
         seed derived from ``PortfolioOptions.base_seed``.  Per-member
         kwargs supplied by the caller (keyed by label, falling back to
         the raw engine name) always win.

@@ -86,33 +86,14 @@ def paper_configurations() -> List[EngineConfig]:
     ]
 
 
-def apply_frame_backend(
-    configs: Sequence[EngineConfig], frame_backend: Optional[str]
-) -> List[EngineConfig]:
-    """Override the frame-management substrate of every IC3 configuration.
-
-    The single source of truth for the ``--frame-backend`` override: the
-    harness uses it to build the engines it runs and the CLI uses it to
-    record the same configurations in the manifest.
-    """
-    if frame_backend is None:
-        return list(configs)
-    return [
-        replace(config, options=replace(config.options, frame_backend=frame_backend))
-        if config.options is not None
-        else config
-        for config in configs
-    ]
-
-
 def apply_sat_backend(
     configs: Sequence[EngineConfig], sat_backend: Optional[str]
 ) -> List[EngineConfig]:
     """Override the SAT kernel of every configuration carrying options.
 
-    Mirrors :func:`apply_frame_backend` for the ``--sat-backend``
-    override: one helper serves both the harness (engine construction)
-    and the CLI (manifest recording), so the two cannot drift.
+    The single source of truth for the ``--sat-backend`` override: one
+    helper serves both the harness (engine construction) and the CLI
+    (manifest recording), so the two cannot drift.
     """
     if sat_backend is None:
         return list(configs)

@@ -124,6 +124,13 @@ Schema v10 (``repro-check/manifest/v10``) removals from v9:
   ``lemmas_validated`` / ``lemmas_rejected`` / ``lemmas_imported`` /
   ``bus_overflows`` / ``time_import_validation``): portfolio members
   now race independently and exchange no lemmas.
+
+Schema v11 (``repro-check/manifest/v11``) removals from v10:
+
+* per-configuration ``frame_backend`` is gone, and so are the v3
+  per-frame ``stats`` counters (``solver_clauses_duplicated`` /
+  ``solver_garbage_lemmas`` / ``solver_rebuilds``): IC3 runs on one
+  frame substrate, where those counters were always 0.
 """
 
 from __future__ import annotations
@@ -135,7 +142,7 @@ from typing import Dict, Optional, Sequence
 from repro.harness.configs import EngineConfig
 from repro.harness.runner import CaseResult, SuiteResult
 
-MANIFEST_SCHEMA = "repro-check/manifest/v10"
+MANIFEST_SCHEMA = "repro-check/manifest/v11"
 
 
 def _phase_times(results: Sequence[CaseResult]) -> Dict[str, float]:
@@ -207,9 +214,6 @@ def build_manifest(
             "engine": config.engine,
             "plays_role_of": config.plays_role_of,
             "uses_prediction": config.uses_prediction,
-            "frame_backend": (
-                config.options.frame_backend if config.options is not None else None
-            ),
             "sat_backend": (
                 config.options.sat_backend if config.options is not None else None
             ),

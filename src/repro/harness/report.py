@@ -16,7 +16,6 @@ from repro.benchgen.case import BenchmarkCase
 from repro.benchgen.suite import default_suite
 from repro.harness.configs import (
     EngineConfig,
-    apply_frame_backend,
     apply_sat_backend,
     apply_seed,
     paper_configurations,
@@ -100,7 +99,6 @@ def run_paper_evaluation(
     figure4_min_runtime: Optional[float] = None,
     jobs: int = 1,
     reduce: bool = True,
-    frame_backend: Optional[str] = None,
     sat_backend: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> PaperReport:
@@ -109,17 +107,15 @@ def run_paper_evaluation(
     ``jobs`` parallelizes the (configuration, case) cross product over
     worker processes; the report is deterministic for any jobs value.
     ``reduce=False`` disables the reduction preprocessing pipeline.
-    ``frame_backend`` overrides the frame-management substrate of every
-    IC3-based configuration (``"monolithic"`` or ``"per-frame"``);
-    ``sat_backend`` overrides the SAT kernel the same way (``"default"``
-    or ``"arena"``); ``seed`` sets the kernels' RNG seed on every
-    configuration (0/None keeps the deterministic unseeded order).
+    ``sat_backend`` overrides the SAT kernel of every IC3-based
+    configuration (``"default"`` or ``"arena"``); ``seed`` sets the
+    kernels' RNG seed on every configuration (0/None keeps the
+    deterministic unseeded order).
     """
     if cases is None:
         cases = default_suite()
     if configs is None:
         configs = paper_configurations()
-    configs = apply_frame_backend(configs, frame_backend)
     configs = apply_sat_backend(configs, sat_backend)
     configs = apply_seed(configs, seed)
 

@@ -213,7 +213,6 @@ class PropertyScheduler:
         max_k: int = 16,
         max_depth: int = 50,
         validate: bool = True,
-        frame_backend: Optional[str] = None,
         sat_backend: Optional[str] = None,
         **_ignored,
     ):
@@ -236,7 +235,6 @@ class PropertyScheduler:
         self.max_k = max_k
         self.max_depth = max_depth
         self.validate = validate
-        self.frame_backend = frame_backend
         self.sat_backend = sat_backend
 
         all_obligations = enumerate_obligations(aig, use_outputs_as_bad)
@@ -378,7 +376,6 @@ class PropertyScheduler:
             reduce=self.reduce,
             passes=self.passes,
             shared_lemmas=shared,
-            frame_backend=self.frame_backend,
             sat_backend=self.sat_backend,
             max_depth=self.max_depth,
         )
@@ -449,7 +446,6 @@ class PropertyScheduler:
                 passes=self.passes,
                 max_k=self.max_k,
                 max_depth=self.max_depth,
-                frame_backend=self.frame_backend,
                 sat_backend=self.sat_backend,
             )
             outcome = engine.check(time_limit=slice_budget)

@@ -3,9 +3,9 @@
 A :class:`SatContext` is one persistent incremental solver plus the
 bookkeeping that model-checking engines need around it: activation-literal
 *scopes* for removable clause groups, timed and counted ``solve`` calls,
-and clause-loading accounting.  (The clauses-shared vs clauses-duplicated
-comparison between frame substrates lives in
-:class:`repro.core.stats.IC3Stats`, where the manifest reads it.)
+and clause-loading accounting.  (IC3's lemma-clause traffic on top of
+a context is counted in :class:`repro.core.stats.IC3Stats`, where the
+manifest reads it.)
 
 The concrete solver behind a context is chosen by name from a small
 factory registry, so alternative backends (a different CDCL

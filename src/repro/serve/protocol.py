@@ -56,7 +56,6 @@ class JobOptions:
     max_k: int = 20
     reduce: bool = True
     passes: Optional[Sequence[str]] = None
-    frame_backend: Optional[str] = None
     sat_backend: Optional[str] = None
 
     def cache_fields(self) -> Dict[str, Any]:
@@ -71,7 +70,6 @@ class JobOptions:
             "max_k": self.max_k,
             "reduce": self.reduce,
             "passes": list(self.passes) if self.passes is not None else None,
-            "frame_backend": self.frame_backend,
             "sat_backend": self.sat_backend,
         }
 
@@ -214,7 +212,6 @@ _OPTION_TYPES = {
     "max_k": int,
     "reduce": bool,
     "passes": list,
-    "frame_backend": str,
     "sat_backend": str,
     "priority": int,
 }
@@ -278,7 +275,6 @@ def options_from_document(
         max_k=int(document.get("max_k", 20)),
         reduce=bool(document.get("reduce", True)),
         passes=list(passes) if passes is not None else None,
-        frame_backend=document.get("frame_backend"),
         sat_backend=document.get("sat_backend"),
     )
 

@@ -32,6 +32,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.aiger.aig import AigerError
 from repro.aiger.parser import parse_aiger
 from repro.engines import available_engines
+from repro.reduce import available_passes
+from repro.sat.context import available_sat_backends
 from repro.serve.cache import ResultCache
 from repro.serve.jobqueue import BudgetExceeded, JobQueue, QueueFull, TenantBudgets
 from repro.serve.metrics import Metrics
@@ -221,6 +223,18 @@ class VerificationService:
             return 400, {
                 "error": f"unknown engine {options.engine!r} "
                 f"(available: {', '.join(available_engines(include_aliases=True))})"
+            }
+        if options.sat_backend and options.sat_backend not in available_sat_backends():
+            return 400, {
+                "error": f"unknown SAT backend {options.sat_backend!r} "
+                f"(available: {', '.join(available_sat_backends())})"
+            }
+        known_passes = available_passes()
+        unknown_passes = [p for p in options.passes or () if p not in known_passes]
+        if unknown_passes:
+            return 400, {
+                "error": f"unknown reduction passes {unknown_passes!r} "
+                f"(available: {', '.join(known_passes)})"
             }
         try:
             aig = parse_aiger(model_text)

@@ -67,8 +67,6 @@ _SAFETY_KINDS = {"ic3", "ic3-pl", "bmc", "kind", "k-induction", "portfolio"}
 def _engine_kwargs(options: JobOptions) -> Dict[str, Any]:
     """Per-kind constructor keywords (mirrors the CLI's dispatch)."""
     kwargs: Dict[str, Any] = {}
-    if options.frame_backend:
-        kwargs["frame_backend"] = options.frame_backend
     if options.sat_backend:
         kwargs["sat_backend"] = options.sat_backend
     if options.engine == "bmc":
@@ -115,7 +113,6 @@ def _execute_job(payload: Dict[str, Any], warm: Dict[Any, Any]) -> Dict[str, Any
                 passes=options.passes,
                 max_k=options.max_k,
                 max_depth=options.max_depth,
-                frame_backend=options.frame_backend,
                 sat_backend=options.sat_backend,
             )
             outcome = engine.check(time_limit=options.timeout)

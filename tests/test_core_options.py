@@ -72,7 +72,7 @@ class TestValidation:
             ("ctg_depth", -1),
             ("max_ctgs", -1),
             ("max_frames", 0),
-            ("solver_rebuild_interval", 0),
+            ("sat_backend", "bogus"),
         ],
     )
     def test_invalid_values_rejected(self, field, value):

@@ -75,7 +75,7 @@ class TestManifestDeterminism:
 
     def test_substrate_stats_present_and_deterministic(self):
         manifest = _manifest(jobs=4)
-        assert manifest["schema"] == MANIFEST_SCHEMA == "repro-check/manifest/v10"
+        assert manifest["schema"] == MANIFEST_SCHEMA == "repro-check/manifest/v11"
         # v9: the telemetry block defaults to None so identical runs keep
         # producing byte-identical manifests.
         assert manifest["telemetry"] is None
@@ -85,7 +85,6 @@ class TestManifestDeterminism:
                 "lemma_clauses_added",
                 "lemma_clauses_removed",
                 "solver_clauses_shared",
-                "solver_clauses_duplicated",
                 "activation_vars_allocated",
                 "activation_vars_recycled",
                 "activation_vars_retired",
@@ -107,9 +106,11 @@ class TestManifestDeterminism:
             assert "lemmas_imported" not in stats
             assert "sharing" not in result
             assert result["validated"] is True
-        # Every configuration records its solving substrate and seed.
+        # Every configuration records its SAT kernel and seed.
         for meta in manifest["configs"].values():
-            assert meta["frame_backend"] == "monolithic"
+            assert set(meta) == {
+                "engine", "plays_role_of", "uses_prediction", "sat_backend", "seed"
+            }
             assert meta["sat_backend"] == "default"
             assert meta["seed"] == 0
         # v7: every configuration total carries the phase-time breakdown.

@@ -56,20 +56,17 @@ class TestRace:
         assert outcome.winner in ("ic3-pl", "ic3", "kind")
         assert outcome.sharing is None
 
-    @pytest.mark.parametrize("frame_backend", ["per-frame", "monolithic"])
     @pytest.mark.parametrize("sat_backend", ["default", "arena"])
     @pytest.mark.parametrize("safe", [True, False], ids=["safe", "unsafe"])
-    def test_substrate_race_is_sound(self, safe, sat_backend, frame_backend):
+    def test_substrate_race_is_sound(self, safe, sat_backend):
         aig = token_ring(3, safe=safe).aig
         engine = PortfolioEngine(
             aig,
             engines=("ic3-pl", "ic3", "bmc"),
             sat_backend=sat_backend,
-            frame_backend=frame_backend,
         )
         for plan in engine._plan:
             assert plan.kwargs["sat_backend"] == sat_backend
-            assert plan.kwargs["frame_backend"] == frame_backend
         outcome = engine.check(time_limit=60)
         expected = CheckResult.SAFE if safe else CheckResult.UNSAFE
         assert outcome.result == expected

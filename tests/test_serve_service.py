@@ -7,6 +7,7 @@ into admitted jobs (correct verdicts) and 503-style rejections — with the
 metrics counters matching what was observed.
 """
 
+import json
 import threading
 
 import pytest
@@ -74,6 +75,19 @@ class TestSubmission:
         )
         assert status == 400
         assert "unknown engine" in payload["error"]
+        # Unknown SAT kernels, reduction passes and fields are refused at
+        # the door too, instead of taking a queue slot and failing later.
+        for fields, message in (
+            ({"sat_backend": "bogus"}, "unknown SAT backend"),
+            ({"passes": ["nope"]}, "unknown reduction passes"),
+            ({"passes": ["coi", 3]}, "unknown reduction passes"),
+            ({"frame_backend": "monolithic"}, "unknown submission fields"),
+        ):
+            body = json.dumps({"model": SAFE_TEXT, **fields}).encode()
+            status, payload = service.submit_raw(body)
+            assert status == 400, fields
+            assert message in payload["error"]
+        assert service.metrics.get("jobs_submitted") == 0
 
     def test_get_job_and_list_jobs(self, service):
         _, payload = service.submit(SAFE_TEXT)
